@@ -233,7 +233,6 @@ class Connection:
         self._rcv_nxt = 0
         self._ooo_ranges: List[Tuple[int, int]] = []
         self._message_ends: Dict[int, Tuple[int, Optional[int], int]] = {}
-        self._delivered_message_ends: set = set()
 
         # --- connection state ---
         self._established = not handshake
@@ -622,7 +621,13 @@ class Connection:
     def _on_data(self, packet: Packet) -> None:
         if not self._established:
             self._established = True  # data implies the peer established
-        if packet.message_last and packet.message_id is not None:
+        # An end at or below rcv_nxt has already fired; re-recording it
+        # from a duplicate tail would leave it in _message_ends for good.
+        if (
+            packet.message_last
+            and packet.message_id is not None
+            and packet.end_seq > self._rcv_nxt
+        ):
             start = packet.message_start if packet.message_start is not None else 0
             self._message_ends[packet.end_seq] = (
                 packet.message_id,
@@ -650,14 +655,9 @@ class Connection:
         self._ooo_ranges = merged
 
     def _fire_completed_messages(self) -> None:
-        completed = [
-            end
-            for end in self._message_ends
-            if end <= self._rcv_nxt and end not in self._delivered_message_ends
-        ]
+        completed = [end for end in self._message_ends if end <= self._rcv_nxt]
         for end in sorted(completed):
             message_id, priority, start = self._message_ends.pop(end)
-            self._delivered_message_ends.add(end)
             if self.on_message is not None:
                 self.on_message(
                     MessageReceipt(

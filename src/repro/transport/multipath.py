@@ -21,6 +21,7 @@ subflow may be *reinjected* on another.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -118,9 +119,8 @@ class MultipathConnection:
         self._write_end = 0
         self._snd_una = 0
         self._snd_nxt = 0
-        self._segments: List[Segment] = []
+        self._segments: List[Segment] = []  # outstanding, ordered by seq
         self._retx_queue: List[Segment] = []
-        self._highest_sacked = 0
         self._messages: List[OutgoingMessage] = []
         self._next_message_index = 0
         self._total_delivered = 0
@@ -130,22 +130,36 @@ class MultipathConnection:
         #: early (same idiom as Connection._arm_rto).
         self._rto_deadline: Optional[float] = None
         self._pacing_event: Optional[Event] = None
-        #: Everything in ``_segments[:_scan_lo]`` is sacked-or-lost, so
-        #: ``_detect_losses`` skips the settled prefix. Reset to 0 by
-        #: ``_retransmit`` (the only lost->False transition that leaves a
-        #: segment unsettled).
-        self._scan_lo = 0
         #: Per-channel high-water mark of sacked end_seq — the loss
         #: threshold base, maintained incrementally by ``_apply_sack`` so
         #: ``_detect_losses`` never rescans the sacked population.
         self._sack_high: Dict[Optional[int], int] = {}
+        #: SACK spans already applied, merged and sorted. Receiver ranges
+        #: are unions of whole segments and ``sacked`` is never cleared,
+        #: so every segment inside a stored span is already sacked and
+        #: ``_apply_sack`` walks only the parts of a range outside them.
+        self._sacked_spans: List[Tuple[int, int]] = []
+        #: First transmissions per channel, in seq order. The per-channel
+        #: loss threshold only rises, so ``_detect_losses`` sweeps each
+        #: list once, from ``_loss_swept[channel]`` up to the threshold.
+        self._first_sends: Dict[int, List[Segment]] = {
+            s.channel_index: [] for s in self.subflows
+        }
+        self._loss_swept: Dict[int, float] = {}
+        #: Retransmissions, which the sweeps skip: a reinjection can move
+        #: a segment to another channel, and its end_seq is already behind
+        #: that channel's sweep. They are rescanned only when a wake gate
+        #: trips: the clock reaching the earliest remark holdoff, or a
+        #: channel's threshold reaching the lowest ``end_seq`` blocked on it.
+        self._remark_pending: List[Segment] = []
+        self._pending_time_wake = float("inf")
+        self._pending_seq_wake: Dict[Optional[int], int] = {}
         self._auto_message_ids = iter(range(10**9, 2 * 10**9))
 
         # Receive state.
         self._rcv_nxt = 0
         self._ooo_ranges: List[Tuple[int, int]] = []
         self._message_ends: Dict[int, Tuple[int, Optional[int], int]] = {}
-        self._delivered_message_ends: set = set()
         self._closed = False
 
         device.register_flow(flow_id, self._on_packet)
@@ -286,7 +300,7 @@ class MultipathConnection:
             subflow = self._pick_subflow(probe)
             if subflow is None or self._pacing_gate(subflow):
                 return
-            self._commit_segment(probe)
+            self._commit_segment(probe, subflow)
             self._transmit(probe, subflow, retransmission=False)
             progress = True
 
@@ -305,9 +319,10 @@ class MultipathConnection:
             message_size=message.size,
         )
 
-    def _commit_segment(self, segment: Segment) -> None:
+    def _commit_segment(self, segment: Segment, subflow: Subflow) -> None:
         self._snd_nxt = segment.end_seq
         self._segments.append(segment)
+        self._first_sends[subflow.channel_index].append(segment)
 
     def _pacing_gate(self, subflow: Subflow) -> bool:
         if subflow.cc.pacing_rate_bps is None or self.sim.now >= subflow.next_send_time:
@@ -324,12 +339,14 @@ class MultipathConnection:
 
     def _retransmit(self, segment: Segment, subflow: Subflow) -> None:
         segment.lost = False
-        # The segment re-enters the scannable population; restart the
-        # settled-prefix cursor from the head.
-        self._scan_lo = 0
         segment.retransmitted = True
         segment.sent_at = self.sim.now
         segment.no_remark_until = self.sim.now + subflow.srtt
+        # Loss detection re-examines it through the pending list once the
+        # remark holdoff expires (see _detect_losses).
+        self._remark_pending.append(segment)
+        if segment.no_remark_until < self._pending_time_wake:
+            self._pending_time_wake = segment.no_remark_until
         self.retransmissions += 1
         self._transmit(segment, subflow, retransmission=True)
 
@@ -428,7 +445,13 @@ class MultipathConnection:
             self._on_ack(packet)
 
     def _on_data(self, packet: Packet) -> None:
-        if packet.message_last and packet.message_id is not None:
+        # An end at or below rcv_nxt has already fired; re-recording it
+        # from a duplicate tail would leave it in _message_ends for good.
+        if (
+            packet.message_last
+            and packet.message_id is not None
+            and packet.end_seq > self._rcv_nxt
+        ):
             start = packet.message_start if packet.message_start is not None else 0
             self._message_ends[packet.end_seq] = (
                 packet.message_id,
@@ -456,29 +479,41 @@ class MultipathConnection:
         self.device.send(ack)
 
     def _merge_range(self, start: int, end: int) -> None:
-        if end <= self._rcv_nxt:
+        """Add ``[start, end)`` to the receive scoreboard.
+
+        ``_ooo_ranges`` stays sorted, disjoint and non-touching, with every
+        range above ``_rcv_nxt``: bisect to the first range the new one
+        overlaps or touches and merge only that neighbourhood.
+        """
+        rcv_nxt = self._rcv_nxt
+        if end <= rcv_nxt:
             return
-        self._ooo_ranges.append((max(start, self._rcv_nxt), end))
-        self._ooo_ranges.sort()
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in self._ooo_ranges:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        while merged and merged[0][0] <= self._rcv_nxt:
-            self._rcv_nxt = max(self._rcv_nxt, merged.pop(0)[1])
-        self._ooo_ranges = merged
+        if start < rcv_nxt:
+            start = rcv_nxt
+        ranges = self._ooo_ranges
+        i = bisect_left(ranges, (start,))
+        if i and ranges[i - 1][1] >= start:
+            i -= 1
+        j, n = i, len(ranges)
+        while j < n and ranges[j][0] <= end:
+            j += 1
+        if j > i:
+            if ranges[i][0] < start:
+                start = ranges[i][0]
+            if ranges[j - 1][1] > end:
+                end = ranges[j - 1][1]
+        if start == rcv_nxt:
+            # Only the head range can start at rcv_nxt (i == 0 here); the
+            # next one begins past ``end``, so one step closes the gap.
+            self._rcv_nxt = end
+            del ranges[:j]
+        else:
+            ranges[i:j] = [(start, end)]
 
     def _fire_completed_messages(self) -> None:
-        completed = [
-            end
-            for end in self._message_ends
-            if end <= self._rcv_nxt and end not in self._delivered_message_ends
-        ]
+        completed = [end for end in self._message_ends if end <= self._rcv_nxt]
         for end in sorted(completed):
             message_id, priority, start = self._message_ends.pop(end)
-            self._delivered_message_ends.add(end)
             if self.on_message is not None:
                 self.on_message(
                     MessageReceipt(
@@ -540,93 +575,184 @@ class MultipathConnection:
         self._arm_rto()
         self._try_send()
 
+    # ``_segments`` and each ``_first_sends`` list are sorted by seq
+    # (segments are carved off the stream in order and never reordered),
+    # so the per-ACK scans below bisect and walk only the segments whose
+    # state changes, not the outstanding window.
+
     def _ack_segments_below(self, ack_seq: int) -> Optional[Segment]:
+        """Drop cumulatively acked segments; return the newest RTT-eligible.
+
+        The acked segments are a prefix: walk it, delete it in one slice,
+        and prune every side structure below the new ``snd_una``.
+        """
         newest: Optional[Segment] = None
-        kept: List[Segment] = []
-        for segment in self._segments:
-            if segment.end_seq <= ack_seq:
-                if not segment.sacked and not segment.lost:
-                    subflow = self._subflow_for(segment.channel)
-                    subflow.in_flight = max(0, subflow.in_flight - segment.size)
-                if not segment.retransmitted:
-                    newest = segment
-            else:
-                kept.append(segment)
-        # Segments sit in seq order with monotone end_seq, so the removal
-        # is a prefix — slide the settled-prefix cursor left by its length.
-        removed = len(self._segments) - len(kept)
-        if removed:
-            lo = self._scan_lo - removed
-            self._scan_lo = lo if lo > 0 else 0
-        self._segments = kept
+        segments = self._segments
+        idx = 0
+        for segment in segments:
+            if segment.end_seq > ack_seq:
+                break
+            idx += 1
+            if not segment.sacked and not segment.lost:
+                subflow = self._subflow_for(segment.channel)
+                subflow.in_flight = max(0, subflow.in_flight - segment.size)
+            if not segment.retransmitted:
+                newest = segment
+        del segments[:idx]
+        for firsts in self._first_sends.values():
+            del firsts[:_bisect_end(firsts, ack_seq)]
+        spans = self._sacked_spans
+        k = 0
+        while k < len(spans) and spans[k][1] <= ack_seq:
+            k += 1
+        del spans[:k]
+        if self._remark_pending:
+            self._remark_pending = [
+                s for s in self._remark_pending if s.end_seq > ack_seq
+            ]
         return newest
 
     def _apply_sack(self, ranges: tuple) -> Optional[Segment]:
+        """Mark SACKed segments; return the newest one for RTT sampling.
+
+        Each range is split against ``_sacked_spans`` and only the
+        uncovered gaps are walked, each from a bisected first segment, so
+        the ranges an ACK repeats from earlier ACKs cost nothing.
+        """
         if not ranges:
             return None
-        newest: Optional[Segment] = None
-        for segment in self._segments:
-            if segment.sacked:
-                continue
-            for lo, hi in ranges:
-                if lo <= segment.seq and segment.end_seq <= hi:
-                    segment.sacked = True
-                    if segment.lost:
-                        segment.lost = False
-                    else:
-                        subflow = self._subflow_for(segment.channel)
-                        subflow.in_flight = max(0, subflow.in_flight - segment.size)
-                    self._highest_sacked = max(self._highest_sacked, segment.end_seq)
-                    high = self._sack_high.get(segment.channel, 0)
-                    if segment.end_seq > high:
-                        self._sack_high[segment.channel] = segment.end_seq
-                    if not segment.retransmitted:
-                        newest = segment
-                    break
-        return newest
+        segments = self._segments
+        spans = self._sacked_spans
+        newest_idx = -1
+        for lo, hi in ranges:
+            if hi <= self._snd_una:
+                continue  # stale: covers only cumulatively acked bytes
+            # Stored spans that overlap or touch [lo, hi]: spans[i:j].
+            i = bisect_left(spans, (lo,))
+            if i and spans[i - 1][1] >= lo:
+                i -= 1
+            j, n = i, len(spans)
+            while j < n and spans[j][0] <= hi:
+                j += 1
+            gaps: List[Tuple[int, int]] = []
+            cursor = lo
+            for span_lo, span_hi in spans[i:j]:
+                if span_lo > cursor:
+                    gaps.append((cursor, span_lo))
+                cursor = span_hi
+            if cursor < hi:
+                gaps.append((cursor, hi))
+            for gap_lo, gap_hi in gaps:
+                # Gap bounds are segment boundaries, so the first segment
+                # ending past gap_lo is the first one starting at it.
+                k, n = _bisect_end(segments, gap_lo), len(segments)
+                while k < n:
+                    segment = segments[k]
+                    if segment.end_seq > gap_hi:
+                        break
+                    if not segment.sacked:
+                        segment.sacked = True
+                        if segment.lost:
+                            segment.lost = False
+                        else:
+                            subflow = self._subflow_for(segment.channel)
+                            subflow.in_flight = max(0, subflow.in_flight - segment.size)
+                        high = self._sack_high.get(segment.channel, 0)
+                        if segment.end_seq > high:
+                            self._sack_high[segment.channel] = segment.end_seq
+                        if not segment.retransmitted and k > newest_idx:
+                            newest_idx = k
+                    k += 1
+            if j > i:
+                if spans[i][0] < lo:
+                    lo = spans[i][0]
+                if spans[j - 1][1] > hi:
+                    hi = spans[j - 1][1]
+            spans[i:j] = [(lo, hi)]
+        return segments[newest_idx] if newest_idx >= 0 else None
 
     def _detect_losses(self) -> None:
         """Per-subflow SACK loss detection: a hole is lost only relative to
         later deliveries *on its own channel* (cross-channel reordering is
         normal here, not a loss signal).
 
-        ``_sack_high`` carries the per-channel high-water marks
-        incrementally (stale entries from cumulatively-acked segments are
-        harmless: every live segment's end_seq exceeds them, so they can
-        never cross a threshold) and ``_scan_lo`` skips the settled
-        sacked-or-lost prefix, so each call walks only the unsettled tail.
+        Each channel's threshold (``_sack_high[ch]`` minus the reordering
+        slack) only rises, so each call sweeps just the first
+        transmissions on that channel that the threshold newly uncovered.
+        Retransmissions wait in ``_remark_pending`` behind time/seq wake
+        gates. Stale ``_sack_high`` entries from
+        cumulatively acked segments are harmless: every live segment's
+        end_seq exceeds them.
         """
-        per_channel_high = self._sack_high
-        if not per_channel_high:
+        sack_high = self._sack_high
+        if not sack_high:
             return
-        segments = self._segments
-        n = len(segments)
-        lo = self._scan_lo
-        while lo < n:
-            head = segments[lo]
-            if head.sacked or head.lost:
-                lo += 1
-            else:
-                break
-        self._scan_lo = lo
-        reorder_slack = SACK_REORDER_BYTES_FACTOR * self.mss
+        now = self.sim.now
+        slack = SACK_REORDER_BYTES_FACTOR * self.mss
         newly_lost: List[Segment] = []
-        for i in range(lo, n):
-            segment = segments[i]
-            if segment.sacked or segment.lost:
+        pending = self._remark_pending
+        if pending and (
+            now >= self._pending_time_wake
+            or any(
+                sack_high.get(channel, 0) - slack >= wake
+                for channel, wake in self._pending_seq_wake.items()
+            )
+        ):
+            keep: List[Segment] = []
+            time_wake = float("inf")
+            seq_wake: Dict[Optional[int], int] = {}
+            snd_una = self._snd_una
+            for segment in pending:
+                if segment.sacked or segment.lost or segment.end_seq <= snd_una:
+                    continue
+                channel = segment.channel
+                if segment.end_seq > sack_high.get(channel, 0) - slack:
+                    keep.append(segment)
+                    if channel not in seq_wake or segment.end_seq < seq_wake[channel]:
+                        seq_wake[channel] = segment.end_seq
+                elif now < segment.no_remark_until:
+                    keep.append(segment)
+                    if segment.no_remark_until < time_wake:
+                        time_wake = segment.no_remark_until
+                else:
+                    self._mark_lost(segment)
+                    newly_lost.append(segment)
+            self._remark_pending = keep
+            self._pending_time_wake = time_wake
+            self._pending_seq_wake = seq_wake
+        swept_by = self._loss_swept
+        for channel, high in sack_high.items():
+            threshold = high - slack
+            swept = swept_by.get(channel, float("-inf"))
+            if threshold <= swept:
                 continue
-            threshold = per_channel_high.get(segment.channel, 0) - reorder_slack
-            if segment.end_seq <= threshold and self.sim.now >= segment.no_remark_until:
-                segment.lost = True
-                subflow = self._subflow_for(segment.channel)
-                subflow.in_flight = max(0, subflow.in_flight - segment.size)
+            swept_by[channel] = threshold
+            firsts = self._first_sends[channel]
+            i, n = _bisect_end(firsts, swept), len(firsts)
+            while i < n:
+                segment = firsts[i]
+                if segment.end_seq > threshold:
+                    break
+                i += 1
+                # Retransmitted segments belong to the pending list; only
+                # they carry a remark holdoff.
+                if segment.sacked or segment.lost or segment.retransmitted:
+                    continue
+                self._mark_lost(segment)
                 newly_lost.append(segment)
         if newly_lost:
+            # Keep the seq order a single walk of _segments produces.
+            newly_lost.sort(key=lambda s: s.seq)
             self._retx_queue.extend(newly_lost)
             channels = {segment.channel for segment in newly_lost}
             for channel in channels:
                 subflow = self._subflow_for(channel)
                 subflow.cc.on_loss(self.sim.now, subflow.in_flight)
+
+    def _mark_lost(self, segment: Segment) -> None:
+        segment.lost = True
+        subflow = self._subflow_for(segment.channel)
+        subflow.in_flight = max(0, subflow.in_flight - segment.size)
 
     def _fire_acked_messages(self) -> None:
         while self._next_message_index < len(self._messages):
@@ -643,3 +769,15 @@ class MultipathConnection:
             f"<MultipathConnection flow={self.flow_id} una={self._snd_una} "
             f"nxt={self._snd_nxt} scheduler={self.scheduler}>"
         )
+
+
+def _bisect_end(segments: List[Segment], bound: float) -> int:
+    """Index of the first segment with ``end_seq > bound`` (seq-sorted list)."""
+    lo, hi = 0, len(segments)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if segments[mid].end_seq <= bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

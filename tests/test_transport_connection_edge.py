@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.channel import ChannelSpec, DirectionSpec
 from repro.net.loss import BernoulliLoss
-from repro.net.packet import PacketType
+from repro.net.packet import Packet, PacketType
 from repro.transport.connection import Connection
 from repro.units import kb, kib, mbps, ms
 
@@ -79,6 +79,19 @@ class TestMessageBoundaries:
                 assert start == 0 and end_seq <= 3000
             else:
                 assert start == 3000 and seq >= 3000
+
+    def test_duplicate_tail_after_completion_is_not_recorded(self, sim):
+        """A duplicate message tail must not re-enter _message_ends, where
+        every later data packet would rescan it."""
+        receipts = []
+        _, receiver, _ = make_conn_pair(sim, on_message=receipts.append)
+        for _ in range(2):
+            packet = Packet(flow_id=1, ptype=PacketType.DATA, payload_bytes=1000)
+            packet.seq, packet.end_seq = 0, 1000
+            packet.message_id, packet.message_last, packet.message_start = 5, True, 0
+            receiver._on_packet(packet)
+        assert [r.message_id for r in receipts] == [5]
+        assert receiver._message_ends == {}
 
     def test_interleaved_priorities_preserved_per_message(self, sim):
         receipts = []

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.api import HvcNetwork
 from repro.errors import TransportError
+from repro.experiments.ablations import mp_unit
 from repro.net.channel import ChannelSpec, DirectionSpec
 from repro.net.hvc import fixed_embb_spec, urllc_spec
 from repro.net.loss import BernoulliLoss
+from repro.net.packet import Packet, PacketType
 from repro.transport import next_flow_id
 from repro.transport.multipath import MultipathConnection
 from repro.units import kb, mbps, ms, to_mbps
@@ -189,3 +191,46 @@ class TestMultipathRecovery:
         sender.send_message(kb(5), message_id=1)
         net.run(until=60.0)
         assert len(receipts) == 1
+
+
+def tail_packet(flow_id, message_id=5, size=1000):
+    """The last (and only) data packet of a one-segment message."""
+    packet = Packet(flow_id=flow_id, ptype=PacketType.DATA, payload_bytes=size)
+    packet.seq = 0
+    packet.end_seq = size
+    packet.message_id = message_id
+    packet.message_last = True
+    packet.message_start = 0
+    return packet
+
+
+class TestReceiveScoreboard:
+    def test_duplicate_tail_after_completion_is_not_recorded(self):
+        """A duplicate message tail must not re-enter _message_ends, where
+        every later data packet would rescan it."""
+        net = dual_net()
+        receipts = []
+        _, receiver = make_mp_pair(net, on_message=receipts.append)
+        for _ in range(2):
+            receiver._on_packet(tail_packet(receiver.flow_id))
+        assert [r.message_id for r in receipts] == [5]
+        assert receiver._message_ends == {}
+
+
+class TestPinnedOutputs:
+    """``mp_unit`` outputs recorded before the multipath scoreboard moved to
+    bisected, span-skipping and delta-swept scans; not a bit may change."""
+
+    @pytest.mark.parametrize(
+        "scheduler, goodput_mbps, latencies, events",
+        [
+            ("hvc", 58.4, [0.010819999999999996, 0.01081999999999994], 30985),
+            ("minrtt", 16.91264, [0.02529733333333345, 0.08523733333330219], 47897),
+        ],
+    )
+    def test_mp_unit_outputs_are_exact(self, scheduler, goodput_mbps, latencies, events):
+        assert mp_unit(scheduler, duration=0.5, seed=0) == {
+            "goodput_mbps": goodput_mbps,
+            "latencies": latencies,
+            "events": events,
+        }
