@@ -29,6 +29,7 @@ backends agree to float noise, not bit-for-bit — a run always uses one).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from typing import Dict, List, Optional
@@ -65,6 +66,8 @@ MIN_RATE_BPS = 1_000.0
 MAX_BG_SHARE = 0.95
 #: Feedback clamp: one tick's multiplicative decay saturates here.
 MAX_OVERLOAD = 1.0
+#: Tenant rows formatted per ``sha256.update`` call in ``digest()``.
+DIGEST_CHUNK = 1024
 
 
 class FluidBackground:
@@ -124,18 +127,25 @@ class FluidBackground:
                 raise ScenarioError(f"no fluid model for CCA {name!r}; known: {known}")
         self._class_names = classes
         self._cca_names = ccas
-        # Per-tenant combined ODE parameters (class manners x CCA flavour).
-        target = []
-        beta = []
-        gain = []
-        for rclass, cca in zip(population.classes, population.ccas):
+        # Combined ODE parameters (class manners x CCA flavour) per kind:
+        # one kind per (class, CCA) pair, kind = class_id * n_cca + cca_id.
+        n_cca = len(ccas)
+        kind_target = []
+        kind_beta = []
+        kind_gain = []
+        for rclass in classes:
             cls = REQUIREMENT_CLASSES[rclass]
-            cc = FLUID_CCAS[cca]
-            target.append(min(cls.load_target, cc["target"]))
-            beta.append(cls.backoff * cc["beta_scale"])
-            gain.append(cc["gain"])
+            for cca in ccas:
+                cc = FLUID_CCAS[cca]
+                kind_target.append(min(cls.load_target, cc["target"]))
+                kind_beta.append(cls.backoff * cc["beta_scale"])
+                kind_gain.append(cc["gain"])
         self._class_id = [class_index[c] for c in population.classes]
         self._cca_id = [cca_index[c] for c in population.ccas]
+        kinds = [
+            cls_id * n_cca + cca_id
+            for cls_id, cca_id in zip(self._class_id, self._cca_id)
+        ]
 
         if self.backend == "numpy":
             self._arrival = _np.asarray(population.arrivals, dtype=_np.float64)
@@ -151,11 +161,18 @@ class FluidBackground:
             self._active = _np.zeros(n, dtype=bool)
             self._done = _np.zeros(n, dtype=bool)
             self._fct = _np.full(n, _np.nan, dtype=_np.float64)
-            self._target = _np.asarray(target)
-            self._beta = _np.asarray(beta)
-            self._gain = _np.asarray(gain)
-            self._cca_arr = _np.asarray(self._cca_id, dtype=_np.int64)
-            self._class_arr = _np.asarray(self._class_id, dtype=_np.int64)
+            #: Per-tenant (kind, cca id, class id) rows, gathered together.
+            self._groups = _np.asarray(
+                [kinds, self._cca_id, self._class_id], dtype=_np.int64
+            )
+            self._class_arr = self._groups[2]
+            self._n_kinds = len(kind_target)
+            self._kind_target = _np.asarray(kind_target)
+            self._kind_neg_beta = -_np.asarray(kind_beta)
+            self._kind_gain_mss = _np.asarray(kind_gain) * MSS_BITS
+            #: Live index: sorted ids of active tenants (stalled included).
+            self._live = _np.zeros(0, dtype=_np.int64)
+            self._ctx_key: Optional[tuple] = None
         else:
             self._arrival = list(population.arrivals)
             self._remaining = [float(s) for s in population.sizes]
@@ -168,9 +185,9 @@ class FluidBackground:
             self._active = [False] * n
             self._done = [False] * n
             self._fct = [math.nan] * n
-            self._target = target
-            self._beta = beta
-            self._gain = gain
+            self._target = [kind_target[k] for k in kinds]
+            self._beta = [kind_beta[k] for k in kinds]
+            self._gain = [kind_gain[k] for k in kinds]
 
         # Per-tenant stall bookkeeping: when a tenant's channel fails (or
         # no channel is live at admission) it stalls until re-steered to a
@@ -200,7 +217,7 @@ class FluidBackground:
         self.bytes_by_class = {name: 0.0 for name in classes}
         self.bytes_by_channel = [0.0] * len(self.channels)
         self._up_set: Optional[tuple] = None
-        self._table: Dict[str, Optional[int]] = {}
+        self._table_idx: List[int] = []
         self.ticks = 0
         self._event = None
         self._stopped = False
@@ -239,12 +256,13 @@ class FluidBackground:
         channel.downlink.set_background_load(0.0)
         self._last_avail[idx] = 0.0
         if self.backend == "numpy":
-            on = self._active & (self._channel == idx)
-            if on.any():
+            li = self._live
+            on = li[self._channel[li] == idx]
+            if len(on):
                 self._rate[on] = 0.0
                 self._channel[on] = -2
-                fresh = on & _np.isnan(self._stalled_at)
-                self._stalled_at[fresh] = now
+                st = self._stalled_at
+                st[on[_np.isnan(st[on])]] = now
         else:
             for i in range(self._cursor):
                 if self._active[i] and self._channel[i] == idx:
@@ -285,11 +303,12 @@ class FluidBackground:
         up_set = tuple(ch.up for ch in self.channels)
         if up_set != self._up_set:
             self._up_set = up_set
-            self._table = assignment_table(self._class_names, self.channels)
-        table_idx = [
-            self._table.get(name) if self._table.get(name) is not None else -1
-            for name in self._class_names
-        ]
+            table = assignment_table(self._class_names, self.channels)
+            self._table_idx = [
+                table.get(name) if table.get(name) is not None else -1
+                for name in self._class_names
+            ]
+        table_idx = self._table_idx
 
         caps = [
             ch.uplink.capacity_bps() if ch.up else 0.0 for ch in self.channels
@@ -330,115 +349,177 @@ class FluidBackground:
             self._gauge_active.set(self.active_count())
 
     # -- numpy backend --------------------------------------------------
-    def _step_numpy(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
+    def _tick_context(self, dt, table_idx, caps, rtts) -> None:
+        """Rebuild the arrays that depend only on dt, capacities, RTTs and
+        the assignment table; they change a few times per run, not per
+        tick."""
         np = _np
-        # 1. Admit arrivals (population is arrival-sorted).
-        n = len(self._arrival)
-        cur = self._cursor
-        while cur < n and self._arrival[cur] <= now:
-            cur += 1
-        if cur > self._cursor:
-            fresh = np.arange(self._cursor, cur)
-            self._active[fresh] = True
+        key = (dt, caps, rtts, table_idx)
+        if key == self._ctx_key:
+            return
+        self._ctx_key = key
+        nch = len(caps)
+        routable = any(t >= 0 for t in table_idx)
+        # Indexed by channel: [channel down ...] + [True, retry stalled].
+        # -2 (unassigned) is always lost; -1 (stalled) is retried only
+        # when some class has a channel, since in a total blackout a
+        # retry would leave a stalled tenant exactly as it is.
+        self._ctx_lost_lut = np.asarray([cap <= 0 for cap in caps] + [True, routable])
+        self._ctx_routable = routable
+        self._ctx_table = np.asarray(table_idx, dtype=np.int64)
+        # Initial window per channel; index -1 (no channel) gives 0.
+        self._ctx_init_rate = np.asarray(
+            [INITIAL_PACKETS * MSS_BITS / rtt for rtt in rtts] + [0.0]
+        )
+        rtt_arr = np.asarray(rtts)
+        rtt_col = rtt_arr[:, None]
+        caps_col = np.asarray(caps)[:, None]
+        self._ctx_rtt = rtt_arr
+        self._ctx_rtt_col = rtt_col
+        self._ctx_share_num = caps_col * self._kind_target
+        self._ctx_growth = (2.0 ** (dt / rtt_arr))[:, None]
+        self._ctx_max_bg = [MAX_BG_SHARE * cap for cap in caps]
+        # Per-(channel, kind) cells gathered per tenant: multiplier,
+        # ceiling (both set per tick), additive term and capacity.
+        cells = np.empty((4, nch, self._n_kinds))
+        cells[2] = self._kind_gain_mss * dt / (rtt_col * rtt_col)
+        cells[3] = caps_col
+        self._ctx_cells = cells
+
+    def _step_numpy(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
+        """One tick over the live index ``self._live``.
+
+        Per-tenant work is O(live tenants): arrays are gathered through
+        the live index and scattered back, so the full per-tenant arrays
+        stay authoritative. The ODE coefficients depend only on
+        (channel, kind) and are computed once per cell of that grid,
+        with the operand order of the per-tenant formula. Every sum is a
+        ``bincount`` in ascending tenant order, which adds each bin's
+        weights sequentially; pairwise ``sum`` would change the bits.
+        """
+        np = _np
+        nch = len(self.channels)
+        self._tick_context(dt, table_idx, caps, rtts)
+        stranded = not self._ctx_routable
+        # 1. Admit arrivals (population is arrival-sorted). They take
+        # their class's channel at once, entering at the initial window,
+        # or stall if their class has none.
+        old = self._cursor
+        cur = bisect.bisect_right(self.population.arrivals, now, old)
+        li = self._live
+        if cur > old:
+            wanted = self._ctx_table[self._class_arr[old:cur]]
+            self._active[old:cur] = True
+            self._channel[old:cur] = wanted
+            self._rate[old:cur] = self._ctx_init_rate[wanted]
+            none = wanted < 0
+            if np.count_nonzero(none):
+                self._stalled_at[old:cur][none] = now
+                stranded = True
             self._cursor = cur
-            self._channel[fresh] = -2  # force (re)assignment below
-        # 2. (Re)assign tenants with no live channel.
-        table = np.asarray(table_idx, dtype=np.int64)
-        chan_up = np.asarray([c > 0 for c in caps], dtype=bool)
-        act = self._active
+            li = self._live = np.concatenate((li, np.arange(old, cur)))
+        # 2. Re-steer tenants with no live channel (see _tick_context).
         chan = self._channel
-        lost = act & ((chan < 0) | ~np.where(chan >= 0, chan_up[np.clip(chan, 0, None)], False))
-        if lost.any():
-            wanted = table[self._class_arr[lost]]
-            chan[lost] = wanted
-            rtt_arr = np.asarray(rtts)
-            ok = wanted >= 0
-            idx = np.flatnonzero(lost)
-            assigned = idx[ok]
-            self._rate[assigned] = (
-                INITIAL_PACKETS * MSS_BITS / rtt_arr[wanted[ok]]
-            )
-            self._rate[idx[~ok]] = 0.0
+        c = chan[li]
+        lost = self._ctx_lost_lut[c].nonzero()[0]
+        if len(lost):
+            idx = li[lost]
+            wanted = self._ctx_table[self._class_arr[idx]]
+            chan[idx] = wanted
+            c[lost] = wanted
+            self._rate[idx] = self._ctx_init_rate[wanted]
             # Stall accounting: re-steering to a live channel closes a
             # stall; failing to find one opens it (total blackout).
             st = self._stalled_at
-            for t in assigned[~np.isnan(st[assigned])]:
-                self._close_stall(int(t), now)
-            unassigned = idx[~ok]
-            st[unassigned[np.isnan(st[unassigned])]] = now
-        live = act & (chan >= 0)
-        if not live.any():
-            return [0.0] * len(self.channels)
-        ch_live = chan[live]
+            ok = wanted >= 0
+            for t in idx[ok & ~np.isnan(st[idx])].tolist():
+                self._close_stall(t, now)
+            if np.count_nonzero(ok) < len(idx):
+                unassigned = idx[~ok]
+                st[unassigned[np.isnan(st[unassigned])]] = now
+                stranded = True
+        lv = li
+        if stranded:
+            live = c >= 0
+            lv = li[live]
+            c = c[live]
+        if not len(lv):
+            return [0.0] * nch
         # 3. Per-channel load from fluid rates + measured foreground.
-        nch = len(self.channels)
-        sums = np.bincount(ch_live, weights=self._rate[live], minlength=nch)
-        caps_arr = np.asarray(caps)
-        fg_arr = np.asarray(fg)
-        safe_caps = np.where(caps_arr > 0, caps_arr, 1.0)
-        load = np.where(caps_arr > 0, (sums + fg_arr) / safe_caps, np.inf)
-        counts = np.bincount(ch_live, minlength=nch).astype(np.float64)
-        counts = np.maximum(counts, 1.0)
-        rtt_arr = np.asarray(rtts)
-        # 4. The ODE update, vectorized over live tenants.
-        li = np.flatnonzero(live)
-        c = ch_live
-        rate = self._rate[li]
-        target = self._target[li]
-        beta = self._beta[li]
-        gain = self._gain[li]
-        rtt = rtt_arr[c]
-        overload = load[c] - target
+        rate = self._rate[lv]
+        sums = np.bincount(c, weights=rate, minlength=nch).tolist()
+        load = np.asarray([
+            (s + f) / cap if cap > 0 else math.inf
+            for s, f, cap in zip(sums, fg, caps)
+        ])
+        counts = np.asarray([max(np.count_nonzero(c == i), 1) for i in range(nch)])
+        # 4. The ODE, with coefficients computed once per (channel, kind)
+        # cell and gathered per tenant. A decaying cell takes the
+        # slow-start form with an infinite ceiling (so an infinite
+        # threshold) and the decay factor as multiplier: min(rate *
+        # decay, inf) is exactly rate * decay, so one select covers all
+        # three regimes.
+        overload = load[:, None] - self._kind_target
         dec = overload > 0
-        rate = np.where(
-            dec,
-            rate * np.exp(-beta * np.minimum(overload, MAX_OVERLOAD) * dt / rtt),
-            rate,
+        decay = np.exp(
+            self._kind_neg_beta
+            * np.minimum(overload, MAX_OVERLOAD)
+            * dt
+            / self._ctx_rtt_col
         )
-        share = caps_arr[c] * target / counts[c]
-        grow = ~dec
-        ss = grow & (rate < 0.5 * share)
-        rate = np.where(ss, np.minimum(rate * 2.0 ** (dt / rtt), share), rate)
-        ai = grow & ~ss
-        rate = np.where(ai, rate + gain * MSS_BITS * dt / (rtt * rtt), rate)
-        remaining = self._remaining[li]
-        rate = np.clip(rate, MIN_RATE_BPS, np.maximum(remaining * 8.0 / dt, MIN_RATE_BPS))
-        rate = np.minimum(rate, caps_arr[c])
+        share = self._ctx_share_num / counts[:, None]
+        cells = self._ctx_cells
+        cells[0] = np.where(dec, decay, self._ctx_growth)
+        cells[1] = np.where(dec, np.inf, share)
+        kind, cca_ids, class_ids = np.take(self._groups, lv, axis=1)
+        mult, ceiling, additive, cap = np.take(
+            cells.reshape(4, -1), c * self._n_kinds + kind, axis=1
+        )
+        # 0.5 * ceiling is exactly the slow-start threshold 0.5 * share.
+        rate = np.where(
+            rate < 0.5 * ceiling, np.minimum(rate * mult, ceiling), rate + additive
+        )
+        remaining = self._remaining[lv]
+        rate = np.minimum(
+            np.minimum(
+                np.maximum(rate, MIN_RATE_BPS),
+                np.maximum(remaining * 8.0 / dt, MIN_RATE_BPS),
+            ),
+            cap,
+        )
         # 5. Per-channel ceiling: never occupy more than MAX_BG_SHARE.
-        new_sums = np.bincount(c, weights=rate, minlength=nch)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(
-                new_sums > 0,
-                np.minimum(1.0, MAX_BG_SHARE * caps_arr / np.where(new_sums > 0, new_sums, 1.0)),
-                1.0,
-            )
+        new_sums = np.bincount(c, weights=rate, minlength=nch).tolist()
+        scale = np.asarray([
+            min(1.0, max_bg / s) if s > 0 else 1.0
+            for s, max_bg in zip(new_sums, self._ctx_max_bg)
+        ])
         eff = rate * scale[c]
-        sent = np.minimum(eff * dt / 8.0, remaining)
+        # x * 0.125 is x / 8.0 exactly (a power-of-two scale), and cheaper.
+        sent = np.minimum(eff * dt * 0.125, remaining)
         remaining = remaining - sent
-        self._rate[li] = rate
-        self._remaining[li] = remaining
+        self._rate[lv] = rate
+        self._remaining[lv] = remaining
         # 6. Byte accounting.
         sent_by_ch = np.bincount(c, weights=sent, minlength=nch)
         for i in range(nch):
             self._bg_byte_accum[i] += sent_by_ch[i]
             self._ack_byte_accum[i] += sent_by_ch[i] * self.ack_fraction
             self.bytes_by_channel[i] += sent_by_ch[i]
-        cca_sent = np.bincount(
-            self._cca_arr[li], weights=sent, minlength=len(self._cca_names)
-        )
+        cca_sent = np.bincount(cca_ids, weights=sent, minlength=len(self._cca_names))
         for i, name in enumerate(self._cca_names):
             self.bytes_by_cca[name] += cca_sent[i]
         class_sent = np.bincount(
-            self._class_arr[li], weights=sent, minlength=len(self._class_names)
+            class_ids, weights=sent, minlength=len(self._class_names)
         )
         for i, name in enumerate(self._class_names):
             self.bytes_by_class[name] += class_sent[i]
         # 7. Completions.
         finished = remaining <= 1e-6
-        if finished.any():
-            done_idx = li[finished]
+        if np.count_nonzero(finished):
+            done_idx = lv[finished]
             self._done[done_idx] = True
             self._active[done_idx] = False
+            self._live = li[self._active[li]]
             # Slow-start floor (Cardwell-style latency model): a
             # packet-level flow pays ceil(log2(S/IW + 1)) round trips
             # of window growth even on an idle link; the continuous
@@ -447,13 +528,12 @@ class FluidBackground:
             # time exceeds the floor and wins the max.
             self._fct[done_idx] = np.maximum(
                 now - self._arrival[done_idx],
-                rtt_arr[chan[done_idx]] * self._ss_rounds[done_idx],
+                self._ctx_rtt[c[finished]] * self._ss_rounds[done_idx],
             )
-        applied = np.bincount(
-            c[~finished], weights=eff[~finished], minlength=nch
-        )
-        applied = np.minimum(applied, MAX_BG_SHARE * caps_arr)
-        return [float(x) for x in applied]
+            # Finished tenants add 0.0, which leaves every sum unchanged.
+            eff[finished] = 0.0
+        applied = np.bincount(c, weights=eff, minlength=nch).tolist()
+        return [min(a, max_bg) for a, max_bg in zip(applied, self._ctx_max_bg)]
 
     # -- pure-python backend --------------------------------------------
     def _step_python(self, now, dt, table_idx, caps, rtts, fg) -> List[float]:
@@ -544,7 +624,7 @@ class FluidBackground:
     # ------------------------------------------------------------------
     def active_count(self) -> int:
         if self.backend == "numpy":
-            return int(self._active.sum())
+            return len(self._live)
         return sum(self._active)
 
     def completed_count(self) -> int:
@@ -563,14 +643,6 @@ class FluidBackground:
         if self.backend == "numpy":
             return [float(x) for x in self._fct[self._done]]
         return [self._fct[i] for i in range(len(self._fct)) if self._done[i]]
-
-    def fct_by_class(self) -> Dict[str, List[float]]:
-        out: Dict[str, List[float]] = {name: [] for name in self._class_names}
-        done = self._done
-        for i in range(len(self._arrival)):
-            if done[i]:
-                out[self._class_names[self._class_id[i]]].append(float(self._fct[i]))
-        return out
 
     def results(self) -> Dict:
         return {
@@ -600,14 +672,23 @@ class FluidBackground:
         Shards re-run the identical background world; the runner asserts
         their digests match, which catches any nondeterminism (or a shard
         accidentally perturbing the background) before results merge.
+        Rows are formatted from plain Python values and hashed one chunk
+        at a time, which keeps the peak memory of the text small.
         """
         h = hashlib.sha256()
-        for i in range(len(self._arrival)):
+        isnan = math.isnan
+        columns = (self._remaining, self._rate, self._done, self._fct, self._stalled_at)
+        for lo in range(0, len(self._arrival), DIGEST_CHUNK):
+            hi = lo + DIGEST_CHUNK
+            if self.backend == "numpy":
+                rows = zip(*(col[lo:hi].tolist() for col in columns))
+            else:
+                rows = zip(*(col[lo:hi] for col in columns))
             h.update(
-                (
-                    f"{i}:{self._remaining[i]:.6f}:{self._rate[i]:.6f}:"
-                    f"{int(self._done[i])}:{self._fct[i]:.9f}:"
-                    f"{int(not math.isnan(self._stalled_at[i]))};"
+                "".join(
+                    f"{i}:{rem:.6f}:{rate:.6f}:{int(done)}:{fct:.9f}:"
+                    f"{int(not isnan(stalled))};"
+                    for i, (rem, rate, done, fct, stalled) in enumerate(rows, lo)
                 ).encode()
             )
         return h.hexdigest()

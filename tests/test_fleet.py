@@ -1,7 +1,9 @@
 """The fleet package: tenant populations, the fluid engine, the hybrid
 simulation, and the sharded experiment merge."""
 
+import hashlib
 import math
+import platform
 
 import pytest
 
@@ -175,6 +177,157 @@ class TestFluidBackground:
         )
         with pytest.raises(ScenarioError, match="no fluid model"):
             FluidBackground(net.sim, net.channels, pop, use_numpy=False)
+
+
+def numpy_math_path() -> str:
+    """Which exp/pow kernels numpy dispatches to on this host.
+
+    On x86-64 CPUs with AVX-512 (Skylake-X level) numpy runs its own
+    vectorized ``exp`` and ``power``; elsewhere it calls the C library.
+    The two differ in the last bits of a few results, so pins that hold
+    raw float bits are recorded once per path.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return "other"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # pragma: no cover - numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return "avx512" if __cpu_features__.get("AVX512_SKX") else "libm"
+
+
+#: The numpy fluid engine's exact end state for a 2,000-tenant, 2 s
+#: ``paper`` fleet (seed 0), plain and with the resilience ``handover``
+#: blackout armed. The meters are exact floats; ``state`` (in
+#: NUMPY_PATH_PINS) is the sha256 over the raw bytes of the per-tenant
+#: arrays. Any change to the arithmetic of the tick, down to summation
+#: order, moves these values.
+NUMPY_PINS = {
+    "plain": {
+        "digest": "7cf25ad5c190a638057db6e9e8136740ccf855e123bc9cf4740322995a22df25",
+        "bytes_by_class": {
+            "background": 3877676.999999999,
+            "deadline": 117432.5193845249,
+            "latency": 354846.924087403,
+            "throughput": 3464565.0000000023,
+        },
+        "bytes_by_channel": [7342241.999999999, 472279.4434719272],
+        "stall_events": 0,
+        "stall_time_total": 0.0,
+        "stall_events_by_class": {
+            "background": 0, "deadline": 0, "latency": 0, "throughput": 0,
+        },
+        "stall_time_by_class": {
+            "background": 0.0, "deadline": 0.0, "latency": 0.0, "throughput": 0.0,
+        },
+        "active": 753,
+    },
+    "handover": {
+        "digest": "700311b523068cd334cbf32b5cb40bb276f814c1bc297bdda7847708a43fe1e7",
+        "bytes_by_class": {
+            "background": 3877677.000000003,
+            "deadline": 98155.1146945077,
+            "latency": 279124.32743579516,
+            "throughput": 3464565.0000000014,
+        },
+        "bytes_by_channel": [7342241.999999998, 377279.44213030266],
+        "stall_events": 863,
+        "stall_time_total": 253.05000000000143,
+        "stall_events_by_class": {
+            "background": 145, "deadline": 136, "latency": 418, "throughput": 164,
+        },
+        "stall_time_by_class": {
+            "background": 30.070000000000043,
+            "deadline": 45.7800000000001,
+            "latency": 140.67000000000073,
+            "throughput": 36.530000000000015,
+        },
+        "active": 753,
+    },
+}
+
+#: The values that depend on numpy's exp/pow kernels (see numpy_math_path).
+NUMPY_PATH_PINS = {
+    ("plain", "avx512"): {
+        "state": "13560deba6761a90d042c05a8ab40803e692306a1a69a8094fa8b7cab7f71be8",
+        "bytes_by_cca": {
+            "bbr": 2056407.068751147,
+            "cubic": 3865861.860548868,
+            "reno": 0.0,
+            "vegas": 1892252.5141719123,
+            "vivace": 0.0,
+        },
+    },
+    ("plain", "libm"): {
+        "state": "e140805ec840ca50adb3a0da48e2cd30ad570bd9bbbaab8bd02cf025f39fb465",
+        "bytes_by_cca": {
+            "bbr": 2056407.0687511468,
+            "cubic": 3865861.860548868,
+            "reno": 0.0,
+            "vegas": 1892252.5141719128,
+            "vivace": 0.0,
+        },
+    },
+    ("handover", "avx512"): {
+        "state": "7a7f3697b251e742f60cc8092cd8ce426bc55e4b5ef720104138fe54f95b8610",
+        "bytes_by_cca": {
+            "bbr": 2029640.3636856265,
+            "cubic": 3819029.467582148,
+            "reno": 0.0,
+            "vegas": 1870851.6108625287,
+            "vivace": 0.0,
+        },
+    },
+    ("handover", "libm"): {
+        "state": "50fa12916c379e1ed80432204de76f5c7b900d9a0ca81f79841e38645dadbe74",
+        "bytes_by_cca": {
+            "bbr": 2029640.3636856265,
+            "cubic": 3819029.467582148,
+            "reno": 0.0,
+            "vegas": 1870851.6108625287,
+            "vivace": 0.0,
+        },
+    },
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("regime", sorted(NUMPY_PINS))
+def test_numpy_engine_state_is_pinned(regime):
+    """The numpy tick reproduces its recorded end state bit for bit.
+
+    ``digest()`` rounds to 6 decimals and ``test_backends_agree`` checks
+    to ``rel=1e-6``; this pin is what holds the vectorized arithmetic
+    itself fixed across rewrites of the tick.
+    """
+    from repro.experiments.resilience import fleet_regime_rows
+    from repro.faults import FaultInjector, FaultSchedule
+
+    path = numpy_math_path()
+    if path == "other":
+        pytest.skip("raw-bit pins are recorded for x86-64 numpy builds only")
+    config = FleetConfig(tenants=2000, duration=2.0, seed=0, preset="paper")
+    sim = FleetSimulation(config, use_numpy=True)
+    if regime == "handover":
+        names = [channel.name for channel in sim.net.channels]
+        rows = fleet_regime_rows("handover", config.duration, names)
+        FaultInjector(sim.net, FaultSchedule.from_params(rows)).arm()
+    sim.run()
+    fluid = sim.fluid
+    state = hashlib.sha256()
+    for name in ("_rate", "_remaining", "_fct", "_stalled_at", "_done", "_channel"):
+        state.update(getattr(fluid, name).tobytes())
+    pin = dict(NUMPY_PINS[regime], **NUMPY_PATH_PINS[regime, path])
+    assert state.hexdigest() == pin["state"]
+    assert fluid.digest() == pin["digest"]
+    assert fluid.bytes_by_cca == pin["bytes_by_cca"]
+    assert fluid.bytes_by_class == pin["bytes_by_class"]
+    assert fluid.bytes_by_channel == pin["bytes_by_channel"]
+    assert fluid.stall_events == pin["stall_events"]
+    assert fluid.stall_time_total == pin["stall_time_total"]
+    assert fluid.stall_events_by_class == pin["stall_events_by_class"]
+    assert fluid.stall_time_by_class == pin["stall_time_by_class"]
+    assert fluid.active_count() == pin["active"]
 
 
 class TestFleetSimulation:
